@@ -9,6 +9,11 @@
 // "cached lookups are never starved"), and every warm hit must be
 // bit-identical to the cold answer — a nonzero exit otherwise.
 //
+// The Q64 BOUNDARY rows time canonicalization on the largest orbits the
+// service handles (46,080 masks): distinct masks that all miss, then
+// each mask's image under an automorphism, which must hit the same
+// entry with the same key and value (a nonzero exit otherwise).
+//
 // JSON rows ride the same (instance, kernel, threads) schema as
 // bench_exact_kernels, so compare_bench.py gates them against
 // bench/baselines/BENCH_service.json. Warm-latency rows sit far below
@@ -219,6 +224,83 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(mixed_bad.load()));
     ++g_failures;
   }
+
+  // ---- Q64 BOUNDARY: cold misses, then symmetric-image hits. ----
+  // Correctness is gated here; time is not. The rows carry no timing
+  // floor because CI also runs this bench in default-build trees on
+  // shared hosts, where a floor on ~10 ms canonicalizations would flake.
+  // Their only timing check is compare_bench.py's baseline comparison.
+  const std::size_t boundary_masks = smoke ? 4 : 32;
+  std::vector<service::Request> boundary_reqs;
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (std::size_t i = 0; i < boundary_masks; ++i) {
+    x ^= x << 13;  // xorshift64: a fixed, seed-free mask sequence
+    x ^= x >> 7;
+    x ^= x << 17;
+    service::Request r;
+    r.kind = service::QueryKind::kBoundary;
+    r.family = service::Family::kHypercube;
+    r.n = 64;
+    r.subset_mask = x;
+    boundary_reqs.push_back(r);
+  }
+  std::vector<service::Response> boundary_cold;
+  const auto bcold_t0 = Clock::now();
+  for (const service::Request& r : boundary_reqs) {
+    boundary_cold.push_back(svc.query(r));
+  }
+  g_rows.push_back({"Q64", "service-boundary-cold", 1,
+                    seconds_since(bcold_t0)});
+  for (std::size_t i = 0; i < boundary_masks; ++i) {
+    const service::Response& r = boundary_cold[i];
+    if (r.status != service::Status::kOk ||
+        r.source != service::Source::kComputed) {
+      std::fprintf(stderr, "FAIL: Q64 boundary mask %zu: status=%s source=%s\n",
+                   i, service::to_string(r.status),
+                   service::to_string(r.source));
+      ++g_failures;
+    }
+  }
+  // Each mask's image under the Q64 automorphism v -> rotl6(v) ^ 0x2b
+  // (rotate the six coordinate bits, then translate).
+  const auto image_of = [](std::uint64_t mask) {
+    std::uint64_t out = 0;
+    for (unsigned v = 0; v < 64; ++v) {
+      if (((mask >> v) & 1u) == 0) continue;
+      const unsigned rotated = ((v << 1) | (v >> 5)) & 0x3f;
+      out |= std::uint64_t{1} << (rotated ^ 0x2b);
+    }
+    return out;
+  };
+  std::vector<service::Response> boundary_warm;
+  const auto bwarm_t0 = Clock::now();
+  for (service::Request r : boundary_reqs) {
+    r.subset_mask = image_of(r.subset_mask);
+    boundary_warm.push_back(svc.query(r));
+  }
+  g_rows.push_back({"Q64", "service-boundary-warm", 1,
+                    seconds_since(bwarm_t0)});
+  for (std::size_t i = 0; i < boundary_masks; ++i) {
+    const service::Response& cold = boundary_cold[i];
+    const service::Response& warm = boundary_warm[i];
+    if (warm.status != service::Status::kOk ||
+        warm.source != service::Source::kMemory || warm.key != cold.key ||
+        warm.value != cold.value) {
+      std::fprintf(stderr,
+                   "FAIL: Q64 boundary image %zu: status=%s source=%s"
+                   " key=%016llx value=%llu (cold key=%016llx value=%llu)\n",
+                   i, service::to_string(warm.status),
+                   service::to_string(warm.source),
+                   static_cast<unsigned long long>(warm.key),
+                   static_cast<unsigned long long>(warm.value),
+                   static_cast<unsigned long long>(cold.key),
+                   static_cast<unsigned long long>(cold.value));
+      ++g_failures;
+    }
+  }
+  std::printf("boundary Q64: %zu cold misses %.2f ms, %zu image hits %.2f ms\n",
+              boundary_masks, g_rows[g_rows.size() - 2].seconds * 1e3,
+              boundary_masks, g_rows.back().seconds * 1e3);
 
   const double cold_p50 = percentile(cold_ms, 0.50);
   const double cold_p99 = percentile(cold_ms, 0.99);

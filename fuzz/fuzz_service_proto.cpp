@@ -8,7 +8,9 @@
 // internally consistent (ids within the protocol charset and length
 // cap, deadline within its ceiling), and — when it names a valid
 // instance small enough for the canonicalizer — its canonical key must
-// be stable under re-canonicalization (canonical_mask is idempotent).
+// be stable under re-canonicalization (canonical_mask is idempotent),
+// and the canonical mask (a minimum over the per-instance image tables)
+// must equal the front of the sorted orbit the group walks itself.
 // The cache-entry decoder is exercised on the same bytes too, since a
 // hostile .bfc file is the same threat class.
 #include <cctype>
@@ -53,6 +55,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         if (req.kind == svc::QueryKind::kBoundary) {
           canon.subset_mask =
               svc::canonical_mask(req.family, req.n, req.subset_mask);
+          const bfly::algo::PermutationGroup group =
+              svc::automorphism_group(req.family, req.n);
+          if (canon.subset_mask != group.mask_orbit(req.subset_mask).front()) {
+            __builtin_trap();
+          }
+          if (svc::canonical_key(req, canon.subset_mask) != key) {
+            __builtin_trap();
+          }
         }
         if (svc::canonical_key(canon) != key) __builtin_trap();
       }

@@ -111,18 +111,11 @@ std::vector<std::vector<NodeId>> PermutationGroup::vertex_orbits() const {
 
 std::vector<std::uint64_t> PermutationGroup::mask_orbit(
     std::uint64_t mask) const {
-  BFLY_CHECK(n_ <= 64, "mask orbits need degree <= 64");
-  std::set<std::uint64_t> seen{mask};
-  std::vector<std::uint64_t> frontier{mask};
-  while (!frontier.empty()) {
-    const std::uint64_t m = frontier.back();
-    frontier.pop_back();
-    for (const Perm& gen : gens_) {
-      const std::uint64_t im = apply_to_mask(gen, m);
-      if (seen.insert(im).second) frontier.push_back(im);
-    }
-  }
-  return {seen.begin(), seen.end()};
+  return MaskImageTables(*this).orbit(mask);
+}
+
+std::uint64_t PermutationGroup::min_mask_image(std::uint64_t mask) const {
+  return MaskImageTables(*this).min_image(mask);
 }
 
 const std::vector<Perm>* PermutationGroup::elements(
@@ -168,6 +161,131 @@ std::vector<Perm> PermutationGroup::setwise_stabilizer(
     if (apply_to_mask(p, mask) == mask) stab.push_back(p);
   }
   return stab;
+}
+
+namespace {
+
+/// Open-addressing set of nonzero masks with linear probing; slot value
+/// 0 means empty. Orbit walks never insert 0: a permutation maps only
+/// the empty set to the empty set, and walk() answers that case first.
+class FlatMaskSet {
+ public:
+  FlatMaskSet() { rehash(64); }
+
+  /// Grows so that `more` further inserts keep the load at most 1/2;
+  /// slot indices taken before a reserve() are stale after it.
+  void reserve(std::size_t more) {
+    std::size_t capacity = slots_.size();
+    while (2 * (size_ + more) > capacity) capacity *= 2;
+    if (capacity != slots_.size()) rehash(capacity);
+  }
+
+  [[nodiscard]] std::size_t slot_of(std::uint64_t m) const {
+    // Multiplicative hashing on a pre-mixed key; the top bits index.
+    m ^= m >> 31;
+    return static_cast<std::size_t>((m * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+
+  void prefetch(std::size_t slot) const {
+    __builtin_prefetch(slots_.data() + slot);
+  }
+
+  /// Inserts m, probing from its slot_of(m); true iff m was new. The
+  /// caller has reserved room for it.
+  bool insert_at(std::uint64_t m, std::size_t slot) {
+    for (;; slot = (slot + 1) & (slots_.size() - 1)) {
+      if (slots_[slot] == m) return false;
+      if (slots_[slot] == 0) {
+        slots_[slot] = m;
+        ++size_;
+        return true;
+      }
+    }
+  }
+
+ private:
+  void rehash(std::size_t capacity) {
+    std::vector<std::uint64_t> old(capacity, 0);
+    old.swap(slots_);
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+    for (const std::uint64_t m : old) {
+      if (m == 0) continue;
+      std::size_t i = slot_of(m);
+      while (slots_[i] != 0) i = (i + 1) & (capacity - 1);
+      slots_[i] = m;
+    }
+  }
+
+  std::vector<std::uint64_t> slots_;
+  std::size_t size_ = 0;
+  unsigned shift_ = 64;
+};
+
+}  // namespace
+
+MaskImageTables::MaskImageTables(const PermutationGroup& group)
+    : n_(group.degree()),
+      slices_((group.degree() + 7) / 8),
+      gens_(group.generators().size()) {
+  BFLY_CHECK(n_ <= 64, "mask image tables need degree <= 64");
+  table_.assign(gens_ * slices_ * 256, 0);
+  for (std::size_t g = 0; g < gens_; ++g) {
+    const Perm& p = group.generators()[g];
+    for (unsigned s = 0; s < slices_; ++s) {
+      std::uint64_t* row = table_.data() + (g * slices_ + s) * 256;
+      // row[b] = row[b minus its lowest bit] | image of that lowest bit.
+      for (unsigned b = 1; b < 256; ++b) {
+        const NodeId v = 8 * s + static_cast<NodeId>(std::countr_zero(b));
+        row[b] = row[b & (b - 1)] | (v < n_ ? std::uint64_t{1} << p[v] : 0);
+      }
+    }
+  }
+}
+
+std::vector<std::uint64_t> MaskImageTables::walk(std::uint64_t mask,
+                                                 bool stop_at_floor) const {
+  BFLY_CHECK(n_ == 64 || (mask >> n_) == 0,
+             "mask holds a bit past the group's degree");
+  std::vector<std::uint64_t> found{mask};
+  if (mask == 0) return found;
+  const int k = std::popcount(mask);
+  const std::uint64_t floor =
+      k == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
+  if (stop_at_floor && mask == floor) return found;
+  FlatMaskSet seen;
+  seen.insert_at(mask, seen.slot_of(mask));
+  // `found` doubles as the breadth-first queue: entries past `next` are
+  // discovered but not yet expanded. Each expansion maps the mask under
+  // every generator and prefetches all probe slots before probing any,
+  // so the set's cache misses overlap instead of queueing.
+  std::vector<std::uint64_t> images(gens_);
+  std::vector<std::size_t> slots(gens_);
+  for (std::size_t next = 0; next < found.size(); ++next) {
+    const std::uint64_t m = found[next];
+    seen.reserve(gens_);
+    for (std::size_t g = 0; g < gens_; ++g) {
+      images[g] = image(g, m);
+      slots[g] = seen.slot_of(images[g]);
+      seen.prefetch(slots[g]);
+    }
+    for (std::size_t g = 0; g < gens_; ++g) {
+      if (!seen.insert_at(images[g], slots[g])) continue;
+      found.push_back(images[g]);
+      if (stop_at_floor && images[g] == floor) return found;
+    }
+  }
+  return found;
+}
+
+std::vector<std::uint64_t> MaskImageTables::orbit(std::uint64_t mask) const {
+  std::vector<std::uint64_t> out = walk(mask, false);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::uint64_t MaskImageTables::min_image(std::uint64_t mask) const {
+  const std::vector<std::uint64_t> found = walk(mask, true);
+  return *std::min_element(found.begin(), found.end());
 }
 
 }  // namespace bfly::algo

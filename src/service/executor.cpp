@@ -120,6 +120,10 @@ void Service::query_async(Request req, std::function<void(Response)> done) {
                                   " is outside the service domain"));
     return;
   }
+  // BOUNDARY: one canonicalization serves both the key and the stored
+  // entry's mask, on the instance's once-built symmetry record.
+  const InstanceSymmetry* sym = nullptr;
+  std::uint64_t cmask = 0;
   if (r.kind == QueryKind::kBoundary) {
     const std::uint64_t nodes = instance_nodes(r.family, r.n);
     if (nodes > 64) {
@@ -133,8 +137,10 @@ void Service::query_async(Request req, std::function<void(Response)> done) {
                                 "mask holds bits past the last node"));
       return;
     }
+    sym = &instance_symmetry(r.family, r.n);
+    cmask = sym->images.min_image(r.subset_mask);
   }
-  party.key = canonical_key(r);
+  party.key = canonical_key(r, cmask);
   const bool want_exact = r.policy == Policy::kExact;
 
   // Fast path, inline on the submitting thread: hits (and cheap
@@ -153,8 +159,8 @@ void Service::query_async(Request req, std::function<void(Response)> done) {
     return;
   }
 
-  if (r.kind == QueryKind::kBoundary) {
-    const Graph g = build_graph(r.family, r.n);
+  if (sym != nullptr) {
+    const Graph& g = sym->graph;
     std::vector<NodeId> set;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (((r.subset_mask >> v) & 1u) != 0) set.push_back(v);
@@ -164,7 +170,7 @@ void Service::query_async(Request req, std::function<void(Response)> done) {
     entry.kind = r.kind;
     entry.family = r.family;
     entry.n = r.n;
-    entry.mask = canonical_mask(r.family, r.n, r.subset_mask);
+    entry.mask = cmask;
     entry.value = expansion::edge_boundary(g, set);
     entry.exact = true;  // a boundary count is a count, not a bound
     if (cache_.insert(entry) == ServiceCache::InsertOutcome::kPersistFailed) {

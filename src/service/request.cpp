@@ -1,10 +1,13 @@
 #include "service/request.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/error.hpp"
@@ -225,25 +228,48 @@ algo::PermutationGroup automorphism_group(Family family, std::uint32_t n) {
   return {};
 }
 
+const InstanceSymmetry& instance_symmetry(Family family, std::uint32_t n) {
+  BFLY_CHECK(valid_instance(family, n) &&
+                 instance_nodes(family, n) <= kMaxBoundaryNodes,
+             "instance symmetry needs a valid <= 64-node instance");
+  // One slot per (family, log2 n); <= 64 nodes bounds log2 n by 6.
+  struct Slot {
+    std::once_flag once;
+    std::unique_ptr<const InstanceSymmetry> record;
+  };
+  constexpr std::size_t kFamilies = 4;
+  constexpr std::size_t kMaxLog = 6;
+  static std::array<Slot, kFamilies * (kMaxLog + 1)> slots;
+  Slot& slot = slots[static_cast<std::size_t>(family) * (kMaxLog + 1) +
+                     log2_u32(n)];
+  std::call_once(slot.once, [&] {
+    algo::PermutationGroup group = automorphism_group(family, n);
+    algo::MaskImageTables images(group);
+    slot.record = std::make_unique<const InstanceSymmetry>(InstanceSymmetry{
+        build_graph(family, n), std::move(group), std::move(images)});
+  });
+  return *slot.record;
+}
+
 std::uint64_t canonical_mask(Family family, std::uint32_t n,
                              std::uint64_t mask) {
-  BFLY_ASSERT(instance_nodes(family, n) <= 64);
-  const algo::PermutationGroup group = automorphism_group(family, n);
-  const std::vector<std::uint64_t> orbit = group.mask_orbit(mask);
-  BFLY_ASSERT(!orbit.empty());
-  return orbit.front();  // sorted ascending: front is the lex-min
+  return instance_symmetry(family, n).images.min_image(mask);
 }
 
 std::uint64_t canonical_key(const Request& r) {
+  return canonical_key(r, r.kind == QueryKind::kBoundary
+                              ? canonical_mask(r.family, r.n, r.subset_mask)
+                              : 0);
+}
+
+std::uint64_t canonical_key(const Request& r, std::uint64_t cmask) {
   namespace wire = robust::wire;
   std::uint64_t h = wire::kFnvOffset;
   h = wire::fnv1a_u64(h, 0x42464c59u);  // 'BFLY' domain tag
   h = wire::fnv1a_u64(h, static_cast<std::uint64_t>(r.kind));
   h = wire::fnv1a_u64(h, static_cast<std::uint64_t>(r.family));
   h = wire::fnv1a_u64(h, r.n);
-  if (r.kind == QueryKind::kBoundary) {
-    h = wire::fnv1a_u64(h, canonical_mask(r.family, r.n, r.subset_mask));
-  }
+  if (r.kind == QueryKind::kBoundary) h = wire::fnv1a_u64(h, cmask);
   return h;
 }
 
@@ -337,11 +363,11 @@ std::string format_response(const Response& r) {
     out += id;
     out += " status=";
     out += to_string(r.status);
-    if (!r.detail.empty()) {
-      out += " detail=";
-      for (const char c : r.detail) {
-        out.push_back(c == '\n' || c == '\r' ? ' ' : c);
-      }
+  }
+  if (!r.detail.empty()) {
+    out += " detail=";
+    for (const char c : r.detail) {
+      out.push_back(c == '\n' || c == '\r' ? ' ' : c);
     }
   }
   return out;

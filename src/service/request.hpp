@@ -93,7 +93,8 @@ struct Response {
   bool exact = false;        ///< value carries an optimality proof
   Source source = Source::kNone;
   double wall_ms = 0.0;      ///< admission-to-response wall time
-  std::string detail;        ///< human-readable context for non-OK statuses
+  std::string detail;        ///< why a request failed, or what qualifies
+                             ///< an OK answer (e.g. "deadline-degraded")
 };
 
 /// Thrown by parse_request on any syntactic defect in an input line.
@@ -121,8 +122,27 @@ inline constexpr std::size_t kMaxLineBytes = 4096;
 [[nodiscard]] algo::PermutationGroup automorphism_group(Family family,
                                                         std::uint32_t n);
 
+/// The symmetry of one <= 64-node instance: its graph, automorphism
+/// group and mask image tables. Built once per process on first use and
+/// never modified after, so concurrent readers need no lock. Do not call
+/// group.elements() (or order()/setwise_stabilizer()) on it: those fill
+/// a lazy cache, and element lists are deliberately not kept here.
+struct InstanceSymmetry {
+  Graph graph;
+  algo::PermutationGroup group;
+  algo::MaskImageTables images;
+};
+
+/// The process-wide record for (family, n). Requires valid_instance and
+/// instance_nodes <= 64 — a bounded domain (15 instances), so records
+/// are never evicted. The first call per instance builds the record
+/// under one-time initialisation; later calls only read it.
+[[nodiscard]] const InstanceSymmetry& instance_symmetry(Family family,
+                                                        std::uint32_t n);
+
 /// Lexicographically smallest member of the mask's orbit under the
-/// instance's automorphism group. Requires instance_nodes <= 64.
+/// instance's automorphism group. Requires instance_nodes <= 64 and no
+/// mask bit past the last node.
 [[nodiscard]] std::uint64_t canonical_mask(Family family, std::uint32_t n,
                                            std::uint64_t mask);
 
@@ -132,6 +152,12 @@ inline constexpr std::size_t kMaxLineBytes = 4096;
 /// value with its exactness flag, and exact-policy lookups simply skip
 /// non-exact entries.
 [[nodiscard]] std::uint64_t canonical_key(const Request& r);
+
+/// canonical_key with the BOUNDARY canonical mask already in hand
+/// (cmask = canonical_mask(r.family, r.n, r.subset_mask); ignored for
+/// BW), so a caller that also stores the mask canonicalizes once.
+[[nodiscard]] std::uint64_t canonical_key(const Request& r,
+                                          std::uint64_t cmask);
 
 /// Parses one protocol line:
 ///
@@ -148,7 +174,13 @@ inline constexpr std::size_t kMaxLineBytes = 4096;
 
 /// One response line:
 ///   OK id=<id> key=<16 hex> value=<u64> exact=<0|1> source=<s> ms=<ms>
+///      [detail=<text>]
 ///   ERR id=<id> status=<shed|deadline|bad-request|failed> detail=<text>
+/// An OK line carries detail only when the answer is qualified — e.g.
+/// detail=deadline-degraded when the deadline cut the solve short, so
+/// the value is the best bound found rather than the full ladder's. The
+/// detail text runs to the end of the line, with newlines replaced by
+/// spaces.
 [[nodiscard]] std::string format_response(const Response& r);
 
 }  // namespace bfly::service

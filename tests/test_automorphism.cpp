@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <string_view>
 #include <vector>
 
 #include "algo/automorphism.hpp"
@@ -182,6 +184,110 @@ TEST(Automorphism, ElementEnumerationHonorsItsCap) {
   EXPECT_EQ(fresh.elements(/*max_elements=*/100), nullptr);
   EXPECT_NE(fresh.elements(/*max_elements=*/500), nullptr);
   EXPECT_THROW((void)fresh.order(/*max_elements=*/100), PreconditionError);
+}
+
+// --- Mask orbits: flat-set walk vs the std::set reference ---
+
+// The orbit walk the library used before its flat-set rewrite, kept as
+// the oracle: breadth-first closure over apply_to_mask, visited masks in
+// a std::set, returned in ascending order.
+std::vector<std::uint64_t> reference_mask_orbit(
+    const algo::PermutationGroup& grp, std::uint64_t mask) {
+  std::set<std::uint64_t> seen{mask};
+  std::vector<std::uint64_t> frontier{mask};
+  while (!frontier.empty()) {
+    const std::uint64_t m = frontier.back();
+    frontier.pop_back();
+    for (const algo::Perm& gen : grp.generators()) {
+      const std::uint64_t im = algo::apply_to_mask(gen, m);
+      if (seen.insert(im).second) frontier.push_back(im);
+    }
+  }
+  return {seen.begin(), seen.end()};
+}
+
+// A uniformly random k-subset of [0, n) as a mask.
+std::uint64_t random_subset(Rng& rng, NodeId n, NodeId k) {
+  std::uint64_t mask = 0;
+  for (NodeId placed = 0; placed < k;) {
+    const std::uint64_t bit = std::uint64_t{1} << rng.below(n);
+    if ((mask & bit) == 0) {
+      mask |= bit;
+      ++placed;
+    }
+  }
+  return mask;
+}
+
+TEST(Automorphism, MaskOrbitsMatchTheReferenceWalk) {
+  const topo::Butterfly b4(4), b8(8);
+  const topo::WrappedButterfly w8(8), w16(16);
+  const topo::CubeConnectedCycles c8(8), c16(16);
+  const topo::Hypercube q16(4), q32(5), q64(6);
+  const std::vector<Named> instances = {
+      {"B4", &b4.graph(), b4.automorphism_generators()},
+      {"B8", &b8.graph(), b8.automorphism_generators()},
+      {"W8", &w8.graph(), w8.automorphism_generators()},
+      {"W16", &w16.graph(), w16.automorphism_generators()},
+      {"CCC8", &c8.graph(), c8.automorphism_generators()},
+      {"CCC16", &c16.graph(), c16.automorphism_generators()},
+      {"Q16", &q16.graph(), q16.automorphism_generators()},
+      {"Q32", &q32.graph(), q32.automorphism_generators()},
+      {"Q64", &q64.graph(), q64.automorphism_generators()},
+  };
+  Rng rng(0x0b17);
+  for (const auto& [name, g, gens] : instances) {
+    const NodeId n = g->num_nodes();
+    const algo::PermutationGroup grp(n, gens);
+    const algo::MaskImageTables tables(grp);
+    const std::uint64_t all =
+        n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+    std::vector<std::uint64_t> masks = {0, all};
+    if (n == 64) masks.push_back(std::uint64_t{1} << 63);
+    // The reference walk is slow on Q64's 46,080-mask orbits, so Q64
+    // gets one random mask per popcount and the rest get two.
+    const int per_size = n == 64 ? 1 : 2;
+    for (const NodeId k : {NodeId{1}, NodeId{2}, n / 4, n / 2, n - 1}) {
+      for (int i = 0; i < per_size; ++i) {
+        masks.push_back(random_subset(rng, n, k));
+      }
+    }
+    // Stabilizer counting needs the element list, which Q64 (46,080
+    // elements) exceeds.
+    const bool enumerable = grp.elements() != nullptr;
+    for (const std::uint64_t mask : masks) {
+      const std::vector<std::uint64_t> expect = reference_mask_orbit(grp, mask);
+      EXPECT_EQ(grp.mask_orbit(mask), expect) << name << " mask " << mask;
+      EXPECT_EQ(tables.orbit(mask), expect) << name << " mask " << mask;
+      EXPECT_EQ(grp.min_mask_image(mask), expect.front())
+          << name << " mask " << mask;
+      EXPECT_EQ(tables.min_image(mask), expect.front())
+          << name << " mask " << mask;
+      if (enumerable) {
+        // Orbit-stabilizer: |orbit| * |Stab(mask)| = |G|.
+        EXPECT_EQ(expect.size() * grp.setwise_stabilizer(mask).size(),
+                  grp.order())
+            << name << " mask " << mask;
+      }
+    }
+    EXPECT_EQ(enumerable, std::string_view(name) != "Q64") << name;
+    for (std::size_t i = 0; i < gens.size(); ++i) {
+      for (const std::uint64_t mask : masks) {
+        EXPECT_EQ(tables.image(i, mask), algo::apply_to_mask(gens[i], mask))
+            << name << " generator " << i << " mask " << mask;
+      }
+    }
+  }
+}
+
+TEST(Automorphism, MaskOrbitsRejectBitsPastTheDegree) {
+  const topo::Hypercube q4(4);
+  const algo::PermutationGroup grp(q4.graph().num_nodes(),
+                                   q4.automorphism_generators());
+  EXPECT_THROW((void)grp.mask_orbit(std::uint64_t{1} << 16),
+               PreconditionError);
+  EXPECT_THROW((void)grp.min_mask_image(std::uint64_t{1} << 63),
+               PreconditionError);
 }
 
 // --- Differential contracts of the symmetry-pruned kernels ---

@@ -20,6 +20,7 @@
 
 #include <unistd.h>
 
+#include "core/error.hpp"
 #include "cut/branch_bound.hpp"
 #include "expansion/expansion.hpp"
 #include "robust/checkpoint.hpp"
@@ -175,6 +176,19 @@ TEST(Protocol, FormatResponseRoundsTripAndSanitizes) {
   EXPECT_NE(line.find("OK id=q1 key=1234abcd5678ef00 value=8 exact=1"),
             std::string::npos)
       << line;
+  // A complete answer carries no detail.
+  EXPECT_EQ(line.find("detail="), std::string::npos) << line;
+
+  // An answer the deadline cut short says so on the wire, on one line.
+  service::Response degraded = ok;
+  degraded.exact = false;
+  degraded.detail = "deadline-degraded\nsecond line";
+  const std::string dline = service::format_response(degraded);
+  EXPECT_EQ(dline.rfind("OK id=q1 ", 0), 0u) << dline;
+  EXPECT_NE(dline.find(" detail=deadline-degraded second line"),
+            std::string::npos)
+      << dline;
+  EXPECT_EQ(dline.find('\n'), std::string::npos) << dline;
 
   service::Response err;
   err.status = service::Status::kShed;
@@ -205,6 +219,33 @@ TEST(CanonicalKey, SymmetricBoundaryMasksCollide) {
                   boundary(service::Family::kButterfly, 4, m)),
               key0);
   }
+}
+
+TEST(CanonicalKey, ConcurrentFirstUseSharesOneSymmetryRecord) {
+  // Threads racing to the first canonicalization of an instance must
+  // all get the one record and the same canonical masks.
+  constexpr int kThreads = 4;
+  std::vector<const service::InstanceSymmetry*> seen(kThreads, nullptr);
+  std::vector<std::uint64_t> masks(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      seen[t] = &service::instance_symmetry(service::Family::kCcc, 16);
+      masks[t] = service::canonical_mask(service::Family::kCcc, 16,
+                                         0x00ff00ff00ff00ffull);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen[0]);
+    EXPECT_EQ(masks[t], masks[0]);
+  }
+  EXPECT_EQ(masks[0], seen[0]->group.mask_orbit(0x00ff00ff00ff00ffull)
+                          .front());
+  EXPECT_EQ(seen[0]->graph.num_nodes(), 64u);
+  EXPECT_THROW((void)service::instance_symmetry(service::Family::kButterfly,
+                                                16),
+               PreconditionError);
 }
 
 TEST(CanonicalKey, DistinguishesInstancesButNotPolicy) {
@@ -520,6 +561,61 @@ TEST(Service, BoundaryServedInlineAndSymmetricMaskHitsSameEntry) {
   EXPECT_EQ(r2.key, r1.key);
 }
 
+TEST(Service, Q64BoundaryImageHitsTheStoredCanonicalEntry) {
+  // Q64 carries the largest orbits the service canonicalizes (46,080
+  // masks). A miss stores the canonical mask; the mask's image under a
+  // coordinate permutation plus an XOR translation must then hit the
+  // same entry from memory.
+  const DirGuard guard(temp_cache_dir("q64"));
+  service::ServiceOptions opts;
+  opts.autostart = false;
+  opts.cache_dir = guard.dir;
+  service::Service svc(opts);
+
+  const std::uint64_t mask = 0x9c4e3f0d51a7b268ull;
+  const Graph g = service::build_graph(service::Family::kHypercube, 64);
+  std::vector<NodeId> set;
+  for (NodeId v = 0; v < 64; ++v) {
+    if (((mask >> v) & 1u) != 0) set.push_back(v);
+  }
+  const auto expected = expansion::edge_boundary(g, set);
+
+  const auto r1 = svc.query(boundary(service::Family::kHypercube, 64, mask));
+  ASSERT_EQ(r1.status, service::Status::kOk) << r1.detail;
+  EXPECT_EQ(r1.source, service::Source::kComputed);
+  EXPECT_EQ(r1.value, expected);
+
+  // Vertex v of Q64 is a 6-bit label: rotate its coordinates by one,
+  // then XOR 0x2b. Both are automorphisms of the hypercube.
+  std::uint64_t image = 0;
+  for (NodeId v = 0; v < 64; ++v) {
+    if (((mask >> v) & 1u) == 0) continue;
+    const NodeId rotated = ((v << 1) | (v >> 5)) & 0x3f;
+    image |= std::uint64_t{1} << (rotated ^ 0x2b);
+  }
+  ASSERT_NE(image, mask);
+  const auto r2 = svc.query(boundary(service::Family::kHypercube, 64, image));
+  ASSERT_EQ(r2.status, service::Status::kOk) << r2.detail;
+  EXPECT_EQ(r2.source, service::Source::kMemory);
+  EXPECT_EQ(r2.key, r1.key);
+  EXPECT_EQ(r2.value, r1.value);
+
+  // The persisted entry holds the canonical mask, and its key is the
+  // key of that mask's own request.
+  service::PersistentCache disk(guard.dir);
+  const auto stored = disk.load(r1.key);
+  ASSERT_TRUE(stored.has_value());
+  const std::uint64_t cmask =
+      service::canonical_mask(service::Family::kHypercube, 64, mask);
+  EXPECT_EQ(stored->mask, cmask);
+  EXPECT_EQ(cmask, service::canonical_mask(service::Family::kHypercube, 64,
+                                           image));
+  EXPECT_EQ(service::canonical_key(
+                boundary(service::Family::kHypercube, 64, cmask)),
+            r1.key);
+  EXPECT_EQ(disk.quarantined(), 0u);
+}
+
 TEST(Service, BadRequestsRejectedInline) {
   service::ServiceOptions opts;
   opts.autostart = false;
@@ -800,9 +896,18 @@ TEST(Daemon, LineSessionEndToEnd) {
 
   // The four protocol lines were admitted (the garbage line never
   // reached the service); q1 and q2 are the same instance, so the pair
-  // is one computation plus one coalesce or hit.
+  // is one computation plus one coalesce or hit. q2's admission decides
+  // which before STATS is read, so exactly one of the two shows. The
+  // computed count itself is timing-dependent at STATS: the inline
+  // BOUNDARY q3 always counts, and q1's worker may or may not have
+  // finished; it reaches 3 only if q2 ran a solve of its own.
   EXPECT_NE(text.find("received=4"), std::string::npos) << text;
-  EXPECT_EQ(text.find("computed=2"), std::string::npos) << text;
+  const bool coalesced = text.find(" coalesced=1 ") != std::string::npos &&
+                         text.find(" hits_memory=0 ") != std::string::npos;
+  const bool hit = text.find(" coalesced=0 ") != std::string::npos &&
+                   text.find(" hits_memory=1 ") != std::string::npos;
+  EXPECT_TRUE(coalesced || hit) << text;
+  EXPECT_EQ(text.find("computed=3"), std::string::npos) << text;
 }
 
 }  // namespace
