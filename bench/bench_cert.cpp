@@ -1,7 +1,7 @@
 // E22 — flow-certified expansion: the certification subsystem scored
 // against the exhaustive sweeps on paper topologies, superconcentration
-// query families on concatenated butterfly pairs, B1024-scale witness
-// certification (queue vs packed level phase), and the heuristic
+// query families on concatenated butterfly pairs, B1024-scale edge- and
+// node-boundary witness certification, and the heuristic
 // portfolio (FM / multilevel / spectral / vertex) on the random
 // d-regular corpus, every witness checked against its flow bound.
 //
@@ -109,41 +109,39 @@ void superconc_case(std::uint32_t n, const cert::SuperconcOptions& opts,
            secs, c.queries, n);
 }
 
-// B1024-scale witness certification: the constructive column split has
-// capacity exactly n; certify it with the queue level phase and again
-// with the packed bitset phase. Wall-clock rows (visited 0) — this is
-// the pair the packed phase exists for.
+// B1024-scale witness certification on the constructive column split,
+// whose side is the half-columns witness: its edge certificate must
+// prove capacity exactly n, and its node certificate must recount
+// |N(S)| with flow <= recount. Wall-clock rows (visited 0).
 void butterfly_scale_case(std::uint32_t cols) {
   const topo::Butterfly bf(cols);
+  const Graph& g = bf.graph();
   const cut::CutResult split = cut::column_split_bisection(bf);
   std::vector<NodeId> side0;
-  for (NodeId v = 0; v < bf.graph().num_nodes(); ++v) {
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (split.sides[v] == 0) side0.push_back(v);
   }
   const std::string instance = "B" + std::to_string(cols);
-  cert::CertOptions queue_opts;
-  queue_opts.packed_bfs_node_limit = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  const auto plain = cert::certify_edge_boundary(
-      bf.graph(), side0, static_cast<std::int64_t>(split.capacity),
-      queue_opts);
+  const auto ee = cert::certify_edge_boundary(
+      g, side0, static_cast<std::int64_t>(split.capacity));
   push_row(instance, "cert-ee-csr", seconds_since(t0), 0,
-           static_cast<std::size_t>(plain.flow));
-  cert::CertOptions packed_opts;
-  packed_opts.packed_bfs_node_limit = bf.graph().num_nodes() + 2;
+           static_cast<std::size_t>(ee.flow));
+  const std::size_t recount = expansion::node_boundary(g, side0);
   const auto t1 = std::chrono::steady_clock::now();
-  const auto packed = cert::certify_edge_boundary(
-      bf.graph(), side0, static_cast<std::int64_t>(split.capacity),
-      packed_opts);
-  push_row(instance, "cert-ee-packed", seconds_since(t1), 0,
-           static_cast<std::size_t>(packed.flow));
-  if (!plain.certified || !packed.certified || plain.flow != packed.flow) {
+  const auto ne = cert::certify_node_boundary(
+      g, side0, static_cast<std::int64_t>(recount));
+  push_row(instance, "cert-ne", seconds_since(t1), 0,
+           static_cast<std::size_t>(ne.flow));
+  // ne.certified means recount == |N(S)| and flow <= recount.
+  if (!ee.certified || !ne.certified) {
     std::fprintf(stderr,
-                 "MISMATCH %s: column split capacity %zu, csr flow %lld, "
-                 "packed flow %lld\n",
+                 "MISMATCH %s: column split capacity %zu, edge flow %lld; "
+                 "|N(S)| %zu, node recount %lld, node flow %lld\n",
                  instance.c_str(), split.capacity,
-                 static_cast<long long>(plain.flow),
-                 static_cast<long long>(packed.flow));
+                 static_cast<long long>(ee.flow), recount,
+                 static_cast<long long>(ne.recounted),
+                 static_cast<long long>(ne.flow));
     ++g_failures;
   }
 }
@@ -310,7 +308,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- B1024-scale certification, queue vs packed level phase ---
+  // --- B1024-scale edge and node certification ---
   butterfly_scale_case(smoke ? 256 : 1024);
   if (smoke) butterfly_scale_case(1024);
 

@@ -16,10 +16,9 @@
 // the original capacities, and set_capacity() re-wires individual arcs
 // (typically super-source/super-sink attachments) between queries, so a
 // large node-split network is built once and answers many certification
-// queries. For dense or mid-sized networks, enable_packed_bfs() switches
-// the level phase of Dinic to a word-parallel sweep over packed residual
-// adjacency rows (the same Bitset64 machinery as the exact kernels),
-// which is what lets certification run on B1024-scale instances.
+// queries. Each Dinic phase levels the residual network with one BFS
+// over the CSR arc lists that stops once the sink's level is complete,
+// which keeps B1024-scale certification linear in arcs per phase.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +26,6 @@
 #include <span>
 #include <vector>
 
-#include "core/bitset64.hpp"
 #include "core/graph.hpp"
 #include "core/types.hpp"
 
@@ -51,7 +49,7 @@ class FlowNetwork {
   /// Adds a directed arc u -> v with the given capacity and its residual
   /// reverse arc v -> u with `reverse_capacity` (0 for a purely directed
   /// arc; equal to `capacity` to model one undirected edge as a single
-  /// arc pair, which is what the packed-BFS duplicate-pair rule wants).
+  /// arc pair).
   /// Returns the arc index; the reverse arc is always at index ^ 1.
   std::uint32_t add_arc(NodeId u, NodeId v, std::int64_t capacity,
                         std::int64_t reverse_capacity = 0);
@@ -65,9 +63,8 @@ class FlowNetwork {
   /// accumulated value would overflow int64.
   [[nodiscard]] std::int64_t max_flow(NodeId s, NodeId t);
 
-  /// Restores every arc to its original capacity (all flow erased) and,
-  /// when packed BFS is enabled, rebuilds the residual rows. After
-  /// reset(), flow_on() is 0 for every arc.
+  /// Restores every arc to its original capacity (all flow erased).
+  /// After reset(), flow_on() is 0 for every arc.
   void reset();
 
   /// Re-wires one arc: its capacity (and recorded original) becomes
@@ -76,17 +73,6 @@ class FlowNetwork {
   /// queries. This is how certification reuses one node-split network
   /// for many source/sink sets.
   void set_capacity(std::uint32_t arc, std::int64_t capacity);
-
-  /// Switches the Dinic level phase to a word-parallel BFS over packed
-  /// residual adjacency rows (bit w of row v set iff residual(v->w) > 0;
-  /// kept exact under every push, so this is a pure representation
-  /// change — identical flows and cuts). Memory: num_nodes()^2 / 8
-  /// bytes. Requires that no ordered node pair carries more than one arc
-  /// (count both directions of every pair; collapse parallel edges into
-  /// capacities first) — checked, throws PreconditionError otherwise.
-  void enable_packed_bfs();
-
-  [[nodiscard]] bool packed_bfs_enabled() const noexcept { return packed_; }
 
   /// After max_flow: true iff v is reachable from s in the residual
   /// network (i.e. v is on the source side of the minimum cut).
@@ -103,7 +89,6 @@ class FlowNetwork {
   static constexpr std::uint32_t kUnreached = kNoArc;
 
   struct Arc {
-    NodeId from;
     NodeId to;
     std::uint32_t next;      // next arc out of the same tail
     std::int64_t capacity;   // residual capacity
@@ -111,21 +96,13 @@ class FlowNetwork {
   };
 
   bool bfs_levels(NodeId s, NodeId t);
-  bool bfs_levels_packed(NodeId s, NodeId t);
   std::int64_t dfs_push(NodeId v, NodeId t, std::int64_t limit);
-  void rebuild_packed_rows();
 
   std::vector<Arc> arcs_;
   std::vector<std::uint32_t> head_;
   std::vector<std::uint32_t> level_;
   std::vector<std::uint32_t> iter_;
-
-  // Packed residual adjacency (enable_packed_bfs). rows_[v] bit w is
-  // maintained == (some arc v->w has residual capacity > 0); the
-  // duplicate-pair precondition makes that ownership unique.
-  bool packed_ = false;
-  std::vector<Bitset64> rows_;
-  Bitset64 frontier_, next_, visited_;  // BFS scratch, sized on enable
+  std::vector<NodeId> queue_;  // BFS queue, reused across phases
 };
 
 /// Maximum number of pairwise EDGE-disjoint undirected paths between the
@@ -148,9 +125,7 @@ class FlowNetwork {
 /// and v_out -> u_in; a super-source (node 2n) and super-sink (2n + 1)
 /// are pre-wired to every v_in / from every v_out with capacity 0, so a
 /// query toggles exactly the attachments it needs via set_capacity() and
-/// resets between queries. With `packed_bfs_node_limit` >= 2n + 2 the
-/// packed level phase is enabled (the reduction never produces duplicate
-/// ordered pairs).
+/// resets between queries.
 struct NodeSplitNetwork {
   FlowNetwork net;
   NodeId n = 0;  ///< nodes of the underlying graph
@@ -172,8 +147,7 @@ struct NodeSplitNetwork {
 };
 
 [[nodiscard]] NodeSplitNetwork make_node_split_network(
-    const Graph& g, std::int64_t split_capacity = 1,
-    NodeId packed_bfs_node_limit = 0);
+    const Graph& g, std::int64_t split_capacity = 1);
 
 struct VertexCut {
   std::int64_t size = 0;

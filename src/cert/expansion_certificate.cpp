@@ -26,8 +26,7 @@ std::size_t membership(const Graph& g, std::span<const NodeId> set,
 
 EdgeBoundaryCertificate certify_edge_boundary(const Graph& g,
                                               std::span<const NodeId> set,
-                                              std::int64_t claimed,
-                                              const CertOptions& opts) {
+                                              std::int64_t claimed) {
   const NodeId n = g.num_nodes();
   std::vector<char> in_set;
   const std::size_t members = membership(g, set, in_set);
@@ -36,8 +35,8 @@ EdgeBoundaryCertificate certify_edge_boundary(const Graph& g,
   algo::FlowNetwork net(n + 2);
   const NodeId s = n, t = n + 1;
   // Parallel edges collapse into one arc pair of capacity = multiplicity
-  // (the packed-BFS one-arc-per-ordered-pair rule); capacity on both
-  // sides since either endpoint may sit in S.
+  // (fewer arcs for every BFS and DFS to scan); capacity on both sides
+  // since either endpoint may sit in S.
   for (NodeId u = 0; u < n; ++u) {
     const auto nb = g.neighbors(u);
     for (std::size_t i = 0; i < nb.size();) {
@@ -58,7 +57,6 @@ EdgeBoundaryCertificate certify_edge_boundary(const Graph& g,
       net.add_arc(v, t, algo::kUnboundedCapacity);
     }
   }
-  if (n + 2 <= opts.packed_bfs_node_limit) net.enable_packed_bfs();
   EdgeBoundaryCertificate cert;
   cert.claimed = claimed;
   // The unbounded terminal arcs pin S to the source side and V \ S to
@@ -72,8 +70,7 @@ EdgeBoundaryCertificate certify_edge_boundary(const Graph& g,
 
 NodeBoundaryCertificate certify_node_boundary(const Graph& g,
                                               std::span<const NodeId> set,
-                                              std::int64_t claimed,
-                                              const CertOptions& opts) {
+                                              std::int64_t claimed) {
   const NodeId n = g.num_nodes();
   std::vector<char> in_set;
   const std::size_t members = membership(g, set, in_set);
@@ -103,8 +100,7 @@ NodeBoundaryCertificate certify_node_boundary(const Graph& g,
     cert.certified = cert.recounted == claimed;
     return cert;
   }
-  algo::NodeSplitNetwork ns =
-      algo::make_node_split_network(g, 1, opts.packed_bfs_node_limit);
+  algo::NodeSplitNetwork ns = algo::make_node_split_network(g, 1);
   // Make S and B uncuttable (unbounded split arcs) and attach the
   // terminals through them, leaving exactly the candidate separator
   // nodes — N(S) and beyond — with unit splits.

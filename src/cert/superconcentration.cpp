@@ -75,8 +75,7 @@ SuperconcentrationCertificate certify_superconcentration(
     seen[v] = 1;
   }
 
-  algo::NodeSplitNetwork ns =
-      algo::make_node_split_network(g, 1, opts.packed_bfs_node_limit);
+  algo::NodeSplitNetwork ns = algo::make_node_split_network(g, 1);
   const auto wire = [&](std::span<const NodeId> io, std::uint64_t mask,
                         bool sources) {
     for (std::size_t i = 0; i < io.size(); ++i) {

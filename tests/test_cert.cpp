@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "algo/bfs.hpp"
 #include "cert/expansion_certificate.hpp"
 #include "cert/superconcentration.hpp"
 #include "cut/vertex_bisection.hpp"
@@ -191,6 +192,71 @@ TEST(CertClassBounds, KnownConnectivities) {
   // Butterfly connectivity equals the input degree 2.
   EXPECT_EQ(b8.kappa, 2);
   EXPECT_EQ(b8.lambda, 2);
+}
+
+// Witness shapes on a butterfly-like topology (Bn or Wn): nodes on
+// levels [lo, hi] whose column's top `t` bits equal `prefix`.
+template <class Topo>
+std::vector<NodeId> column_block(const Topo& bf, std::uint32_t lo,
+                                 std::uint32_t hi, std::uint32_t t,
+                                 std::uint32_t prefix) {
+  std::vector<NodeId> set;
+  for (std::uint32_t level = lo; level <= hi; ++level) {
+    for (std::uint32_t w = 0; w < bf.n(); ++w) {
+      if (w >> (bf.dims() - t) == prefix) set.push_back(bf.node(w, level));
+    }
+  }
+  return set;
+}
+
+// Nodes within `radius` hops of `center`.
+std::vector<NodeId> ball(const Graph& g, NodeId center, std::uint32_t radius) {
+  const std::vector<std::uint32_t> dist = algo::bfs_distances(g, center);
+  std::vector<NodeId> set;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (dist[v] <= radius) set.push_back(v);
+  }
+  return set;
+}
+
+// Certifies four witness shapes of the paper's expansion arguments on
+// Bn or Wn — column halves and blocks, a level band and a ball — against
+// |∂S| and |N(S)| recounted by the expansion layer, independently of
+// the flow networks.
+template <class Topo>
+void expect_witness_shapes_certified(const char* name, const Topo& topo) {
+  const Graph& g = topo.graph();
+  const std::uint32_t last = topo.num_levels() - 1;
+  const std::uint32_t mid = last / 2;
+  const struct {
+    const char* shape;
+    std::vector<NodeId> set;
+  } witnesses[] = {
+      {"half-columns", column_block(topo, 0, last, 1, 1)},
+      {"eighth-columns", column_block(topo, 0, last, 3, 5)},
+      {"three-level band", column_block(topo, mid - 1, mid + 1, 2, 2)},
+      {"radius-4 ball", ball(g, topo.node(37, mid), 4)},
+  };
+  for (const auto& w : witnesses) {
+    SCOPED_TRACE(std::string(name) + " " + w.shape);
+    const auto edges = static_cast<std::int64_t>(
+        expansion::edge_boundary(g, w.set));
+    const auto nodes = static_cast<std::int64_t>(
+        expansion::node_boundary(g, w.set));
+    const auto ee = certify_edge_boundary(g, w.set, edges);
+    EXPECT_TRUE(ee.certified);
+    EXPECT_EQ(ee.flow, edges);
+    const auto ne = certify_node_boundary(g, w.set, nodes);
+    EXPECT_TRUE(ne.certified);
+    EXPECT_EQ(ne.recounted, nodes);
+    EXPECT_LE(ne.flow, nodes);
+  }
+}
+
+TEST(CertScale, ButterflyWitnessShapesMatchRecounts) {
+  // Certificates past exhaustive-sweep size.
+  expect_witness_shapes_certified("B256", topo::Butterfly(256));
+  expect_witness_shapes_certified("W256", topo::WrappedButterfly(256));
 }
 
 TEST(Superconc, PairStructure) {

@@ -1,10 +1,12 @@
 // Max-flow substrate: Dinic on hand-built networks, Menger path counts,
 // minimum vertex cuts on butterflies, reusable-network semantics
-// (reset / re-entry / re-wiring), the packed bitset level phase, the
-// int64 overflow guard, and certified connectivities.
+// (reset / re-entry / re-wiring), min-cut sides vs residual reachability,
+// the int64 overflow guard, and certified connectivities.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "algo/maxflow.hpp"
@@ -13,6 +15,7 @@
 #include "topology/butterfly.hpp"
 #include "topology/complete.hpp"
 #include "topology/hypercube.hpp"
+#include "topology/wrapped_butterfly.hpp"
 
 namespace bfly::algo {
 namespace {
@@ -101,19 +104,19 @@ TEST(MaxFlow, CompleteGraphCut) {
   EXPECT_EQ(max_edge_disjoint_paths(k6, a, b), 5);
 }
 
-// A seeded random DAG (arcs u -> v with u < v only, so no duplicate
-// ordered pairs and the packed level phase is legal) with the arc list
-// kept outside the network for cut recomputation.
-struct DagArc {
+// An arc as added to a network, kept outside it to recompute cuts and
+// residual capacities.
+struct RecordedArc {
   NodeId u, v;
   std::int64_t cap;
   std::uint32_t index;
 };
 
-std::vector<DagArc> build_random_dag(FlowNetwork& net, NodeId n,
-                                     std::uint64_t seed) {
+// A seeded random DAG (arcs u -> v with u < v only).
+std::vector<RecordedArc> build_random_dag(FlowNetwork& net, NodeId n,
+                                          std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<DagArc> arcs;
+  std::vector<RecordedArc> arcs;
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) {
       if (rng.below(100) < 30) {
@@ -129,7 +132,7 @@ TEST(MaxFlowRandom, FlowEqualsCutOnRandomDags) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const NodeId n = 30;
     FlowNetwork net(n);
-    const std::vector<DagArc> arcs = build_random_dag(net, n, seed);
+    const std::vector<RecordedArc> arcs = build_random_dag(net, n, seed);
     const NodeId s = 0, t = n - 1;
     const std::int64_t flow = net.max_flow(s, t);
     // Max-flow = min-cut from first principles: the residual-reachable
@@ -138,20 +141,13 @@ TEST(MaxFlowRandom, FlowEqualsCutOnRandomDags) {
     ASSERT_TRUE(net.on_source_side(s));
     ASSERT_FALSE(net.on_source_side(t));
     std::int64_t cut = 0;
-    for (const DagArc& a : arcs) {
+    for (const RecordedArc& a : arcs) {
       if (net.on_source_side(a.u) && !net.on_source_side(a.v)) {
         cut += a.cap;
         EXPECT_EQ(net.flow_on(a.index), a.cap) << "unsaturated cut arc";
       }
     }
     EXPECT_EQ(flow, cut) << "seed " << seed;
-    // Packed differential: the bitset level phase is a representation
-    // change only — identical maximum flow.
-    FlowNetwork packed(n);
-    (void)build_random_dag(packed, n, seed);
-    packed.enable_packed_bfs();
-    EXPECT_TRUE(packed.packed_bfs_enabled());
-    EXPECT_EQ(packed.max_flow(s, t), flow);
   }
 }
 
@@ -232,35 +228,93 @@ TEST(MaxFlowOverflow, ArcPairCapacityIsChecked) {
   EXPECT_THROW(net.add_arc(0, 1, -1), PreconditionError);
 }
 
-TEST(MaxFlowPacked, DuplicateOrderedPairIsRejected) {
-  FlowNetwork net(3);
-  net.add_arc(0, 1, 1);
-  net.add_arc(0, 1, 1);  // second arc on the same ordered pair
-  EXPECT_THROW(net.enable_packed_bfs(), PreconditionError);
+// Marks the nodes reachable from `from` through `next(v)` (v's
+// successors), never entering a node marked in `blocked`.
+template <class Next>
+std::vector<char> reachable(std::span<const NodeId> from,
+                            const std::vector<char>& blocked, Next next) {
+  std::vector<char> reached(blocked.size(), 0);
+  std::vector<NodeId> queue;
+  const auto visit = [&](NodeId w) {
+    if (blocked[w] || reached[w]) return;
+    reached[w] = 1;
+    queue.push_back(w);
+  };
+  for (const NodeId v : from) visit(v);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    for (const NodeId w : next(queue[head])) visit(w);
+  }
+  return reached;
 }
 
-TEST(MaxFlowPacked, MatchesQueueBfsOnButterflyCut) {
-  // The packed level phase is a pure representation change: identical
-  // flow on the butterfly whole-level vertex cut, via the node-split
-  // network with packed rows enabled.
-  const topo::Butterfly bf(8);
-  const auto inputs = bf.level_nodes(0);
-  const auto outputs = bf.level_nodes(bf.dims());
-  NodeSplitNetwork plain = make_node_split_network(bf.graph(), 1);
-  NodeSplitNetwork packed =
-      make_node_split_network(bf.graph(), 1, /*packed_bfs_node_limit=*/256);
-  EXPECT_FALSE(plain.net.packed_bfs_enabled());
-  EXPECT_TRUE(packed.net.packed_bfs_enabled());
-  for (NodeSplitNetwork* ns : {&plain, &packed}) {
-    for (const NodeId v : inputs) {
-      ns->net.set_capacity(ns->source_arc(v), kUnboundedCapacity);
-    }
-    for (const NodeId v : outputs) {
-      ns->net.set_capacity(ns->sink_arc(v), kUnboundedCapacity);
-    }
+// on_source_side() must equal residual reachability from s, recomputed
+// from the recorded (forward-only) arcs and flow_on(): the sink-level
+// early exit must never cut the final, failing BFS short.
+void expect_source_side_is_reachability(const FlowNetwork& net,
+                                        const std::vector<RecordedArc>& arcs,
+                                        NodeId s) {
+  std::vector<std::vector<NodeId>> residual(net.num_nodes());
+  for (const RecordedArc& a : arcs) {
+    const std::int64_t flow = net.flow_on(a.index);
+    if (a.cap - flow > 0) residual[a.u].push_back(a.v);
+    if (flow > 0) residual[a.v].push_back(a.u);
   }
-  EXPECT_EQ(plain.net.max_flow(plain.source(), plain.sink()), 8);
-  EXPECT_EQ(packed.net.max_flow(packed.source(), packed.sink()), 8);
+  const std::vector<char> reached = reachable(
+      {&s, 1}, std::vector<char>(net.num_nodes(), 0),
+      [&](NodeId v) -> const std::vector<NodeId>& { return residual[v]; });
+  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+    EXPECT_EQ(net.on_source_side(v), reached[v] != 0) << "node " << v;
+  }
+}
+
+TEST(MaxFlowCut, SourceSideIsResidualReachability) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    FlowNetwork net(30);
+    const std::vector<RecordedArc> arcs = build_random_dag(net, 30, seed);
+    (void)net.max_flow(0, 29);
+    expect_source_side_is_reachability(net, arcs, 0);
+  }
+  // Hong–Kung node splits (v_in = v, v_out = n + v) of B8 and W8, with
+  // the first level as sources and the last as sinks.
+  const topo::Butterfly b8(8);
+  const topo::WrappedButterfly w8(8);
+  const struct {
+    const char* name;
+    const Graph& g;
+    std::vector<NodeId> sources, sinks;
+  } cases[] = {
+      {"B8", b8.graph(), b8.level_nodes(0), b8.level_nodes(b8.dims())},
+      {"W8", w8.graph(), w8.level_nodes(0), w8.level_nodes(w8.dims() - 1)},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const NodeId n = c.g.num_nodes(), s = 2 * n, t = 2 * n + 1;
+    FlowNetwork net(2 * n + 2);
+    std::vector<RecordedArc> arcs;
+    const auto add = [&](NodeId u, NodeId v, std::int64_t cap) {
+      arcs.push_back({u, v, cap, net.add_arc(u, v, cap)});
+    };
+    for (NodeId v = 0; v < n; ++v) add(v, n + v, 1);
+    for (const auto& [u, v] : c.g.edges()) {
+      add(n + u, v, kUnboundedCapacity);
+      add(n + v, u, kUnboundedCapacity);
+    }
+    for (const NodeId v : c.sources) add(s, v, kUnboundedCapacity);
+    for (const NodeId v : c.sinks) add(n + v, t, kUnboundedCapacity);
+    const std::int64_t flow = net.max_flow(s, t);
+    expect_source_side_is_reachability(net, arcs, s);
+    // min_vertex_cut's nodes, removed from the graph, leave no sink
+    // reachable from the sources.
+    const VertexCut cut = min_vertex_cut(c.g, c.sources, c.sinks);
+    EXPECT_EQ(cut.size, flow);
+    EXPECT_EQ(cut.nodes.size(), static_cast<std::size_t>(cut.size));
+    std::vector<char> removed(n, 0);
+    for (const NodeId v : cut.nodes) removed[v] = 1;
+    const std::vector<char> reached = reachable(
+        c.sources, removed, [&](NodeId v) { return c.g.neighbors(v); });
+    for (const NodeId v : c.sinks) EXPECT_FALSE(reached[v]) << "sink " << v;
+  }
 }
 
 TEST(Connectivity, KnownValues) {
